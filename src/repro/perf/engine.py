@@ -39,7 +39,6 @@ module-level functions, or :func:`functools.partial` over one.
 from __future__ import annotations
 
 import os
-import random
 import signal
 import threading
 import time
@@ -53,6 +52,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro.core.durable import check_backoff, seeded_backoff
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
@@ -117,13 +117,9 @@ class PointTimeout(TimeoutError):
 class RetryPolicy:
     """Deterministic seeded exponential backoff for ``on_error='retry'``.
 
-    The delay before retry ``attempt`` (1-based) of point ``index`` is::
-
-        backoff_s * factor**(attempt - 1) * (1 + jitter * u)
-
-    where ``u`` is drawn from a PRNG seeded purely by ``(seed, index,
-    attempt)`` — the schedule is a pure function of the policy, so two
-    runs with the same seed back off identically (a tested property).
+    The delay before retry ``attempt`` (1-based) of point ``index`` is a
+    :func:`~repro.core.durable.seeded_backoff` salted by ``(index,
+    attempt)``, so two runs with the same seed back off identically.
 
         >>> RetryPolicy(seed=7).schedule(3) == RetryPolicy(seed=7).schedule(3)
         True
@@ -138,21 +134,18 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0.0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must lie in [0, 1], got {self.jitter}")
+        check_backoff(self, "backoff_s", "factor", "jitter")
 
     def delay_s(self, index: int, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of point ``index``."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        mixed = (self.seed & 0xFFFFFFFF) * 0x9E3779B1 + index
-        mixed = (mixed ^ (mixed >> 16)) * 0x85EBCA6B + attempt
-        noise = random.Random(mixed).random()
-        return self.backoff_s * self.factor ** (attempt - 1) * (1.0 + self.jitter * noise)
+        return seeded_backoff(
+            self.backoff_s,
+            self.factor,
+            attempt,
+            jitter=self.jitter,
+            seed=self.seed,
+            salts=(index, attempt),
+        )
 
     def schedule(self, index: int) -> tuple[float, ...]:
         """The full backoff schedule for ``index``, one delay per retry."""

@@ -79,7 +79,6 @@ import copy
 import json
 import os
 import pickle
-import random
 import socket
 import threading
 import time
@@ -87,6 +86,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.core.durable import check_backoff, seeded_backoff
 from repro.core.errors import FabricError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -263,9 +263,9 @@ def _recv(rfile: Any) -> "dict[str, Any] | None":
 class MembershipPolicy:
     """How the coordinator heals, polices and prunes fleet membership.
 
-    Two seeded-geometric schedules (the same deterministic shape the
-    serve :class:`~repro.serve.breaker.BreakerPolicy` uses for its
-    recovery intervals) drive the two halves of the lifecycle:
+    Two :func:`~repro.core.durable.seeded_backoff` schedules (the one
+    every retry and recovery delay in the package uses) drive the two
+    halves of the lifecycle; each ``max_*`` ceiling holds after jitter:
 
     * **rejoin** — a lost endpoint is re-dialed after
       ``rejoin_backoff_s``, doubling (``rejoin_factor``) per failed
@@ -299,21 +299,9 @@ class MembershipPolicy:
 
     def __post_init__(self):
         """Validate the knobs; raises :class:`ValueError` on nonsense."""
-        if self.rejoin_backoff_s < 0.0:
-            raise ValueError(
-                f"rejoin_backoff_s must be >= 0, got {self.rejoin_backoff_s}"
-            )
-        if self.rejoin_factor < 1.0:
-            raise ValueError(f"rejoin_factor must be >= 1, got {self.rejoin_factor}")
-        if not 0.0 <= self.rejoin_jitter <= 1.0:
-            raise ValueError(
-                f"rejoin_jitter must be within [0, 1], got {self.rejoin_jitter}"
-            )
-        if self.max_rejoin_backoff_s < self.rejoin_backoff_s:
-            raise ValueError(
-                f"max_rejoin_backoff_s ({self.max_rejoin_backoff_s:g}) must be >= "
-                f"rejoin_backoff_s ({self.rejoin_backoff_s:g})"
-            )
+        check_backoff(
+            self, "rejoin_backoff_s", "rejoin_factor", "rejoin_jitter", "max_rejoin_backoff_s"
+        )
         if self.max_dial_failures < 1:
             raise ValueError(
                 f"max_dial_failures must be >= 1, got {self.max_dial_failures}"
@@ -324,47 +312,34 @@ class MembershipPolicy:
             )
         if self.probation_s <= 0.0:
             raise ValueError(f"probation_s must be positive, got {self.probation_s}")
-        if self.probation_factor < 1.0:
-            raise ValueError(
-                f"probation_factor must be >= 1, got {self.probation_factor}"
-            )
-        if self.max_probation_s < self.probation_s:
-            raise ValueError(
-                f"max_probation_s ({self.max_probation_s:g}) must be >= "
-                f"probation_s ({self.probation_s:g})"
-            )
+        check_backoff(self, "probation_s", "probation_factor", "rejoin_jitter", "max_probation_s")
         if self.max_quarantines < 0:
             raise ValueError(
                 f"max_quarantines must be >= 0, got {self.max_quarantines}"
             )
 
-    def _noise(self, *salts: int) -> float:
-        """Deterministic jitter in ``[0, 1)`` from the seed and salts."""
-        mixed = (self.seed & 0xFFFFFFFF) * 0x9E3779B1
-        for salt in salts:
-            mixed = (mixed ^ (mixed >> 16)) * 0x85EBCA6B + salt
-        return random.Random(mixed & 0xFFFFFFFFFFFFFFFF).random()
-
     def rejoin_delay_s(self, ordinal: int, attempt: int) -> float:
         """Seconds before re-dial ``attempt`` (1-based) of endpoint ``ordinal``."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        base = min(
-            self.rejoin_backoff_s * self.rejoin_factor ** (attempt - 1),
-            self.max_rejoin_backoff_s,
+        return seeded_backoff(
+            self.rejoin_backoff_s,
+            self.rejoin_factor,
+            attempt,
+            jitter=self.rejoin_jitter,
+            seed=self.seed,
+            salts=(0, ordinal + 1, attempt),
+            cap=self.max_rejoin_backoff_s,
         )
-        return base * (1.0 + self.rejoin_jitter * self._noise(ordinal + 1, attempt))
 
     def probation_delay_s(self, ordinal: int, quarantine_count: int) -> float:
         """Seconds quarantine ``quarantine_count`` (1-based) sidelines the worker."""
-        if quarantine_count < 1:
-            raise ValueError(f"quarantine_count is 1-based, got {quarantine_count}")
-        base = min(
-            self.probation_s * self.probation_factor ** (quarantine_count - 1),
-            self.max_probation_s,
-        )
-        return base * (
-            1.0 + self.rejoin_jitter * self._noise(-(ordinal + 1), quarantine_count)
+        return seeded_backoff(
+            self.probation_s,
+            self.probation_factor,
+            quarantine_count,
+            jitter=self.rejoin_jitter,
+            seed=self.seed,
+            salts=(0, -(ordinal + 1), quarantine_count),
+            cap=self.max_probation_s,
         )
 
 

@@ -14,15 +14,12 @@ File layout::
     {"index": 0, "status": "ok", "attempts": 1, "elapsed_s": ..., "value": "<b64 pickle>"}
     {"index": 3, "status": "failed", "attempts": 3, "error": "ValueError(...)", ...}
 
-Durability contract:
-
-* the header is written atomically (tmp + ``os.replace`` + fsync, via
-  :mod:`repro.core.atomicio`), so a journal either exists whole or not
-  at all;
-* each record append is flushed and fsync'd before the engine moves on,
-  so a completed point survives any later crash;
-* a crash *mid-append* leaves at most one truncated trailing line,
-  which the loader detects and drops — the journal is self-healing.
+Durability is :mod:`repro.core.durable`'s append contract: the header
+is written atomically, each record is one CRC'd, fsync'd append that
+either lands whole or raises, and the loader drops torn or corrupt
+records one by one (see the "Durability core" section of
+``docs/robustness.md``). A journal whose header does not match the spec
+simply starts afresh.
 
 Only ``status == "ok"`` records count as done: failed, timed-out and
 crashed points are journalled for post-mortems but re-run on resume.
@@ -31,18 +28,11 @@ restored points are bit-identical to freshly computed ones — the
 property the byte-identical ``--resume`` artifact tests pin down. Treat
 journals like any local pickle: data you wrote, not data you downloaded.
 
-Single-writer discipline: opening a journal takes an advisory
-``flock`` on a ``.lock`` sidecar, so two concurrent ``--resume`` runs
-over the same spec fail fast with :class:`~repro.core.errors.CheckpointError`
-instead of interleaving appends. The lock dies with its holder (the
-kernel releases ``flock`` on process exit), which is the stale-lock
-story: a sidecar left behind by a crashed run does not block the next
-one — it is detected, reported in the lock file, and reclaimed.
-Reclaim is *same-host only*: the sidecar records ``host`` alongside
-``pid``, and a sidecar written by a different machine is never treated
-as stale — ``flock`` visibility does not span hosts on shared storage,
-and a foreign pid existing (or not) on *this* host says nothing about
-the real owner.
+Single-writer discipline: opening a journal takes a :class:`JournalLock`
+on a ``.lock`` sidecar, so two concurrent ``--resume`` runs over the same
+spec fail fast with :class:`~repro.core.errors.CheckpointError` instead
+of interleaving appends. The lock dies with its holder, so a crashed
+run's sidecar is reclaimed — on the same host only.
 
 The distributed sweep fabric (:mod:`repro.perf.fabric`) journals
 through a :class:`ShardedCheckpoint`: the index space is partitioned
@@ -62,17 +52,11 @@ import os
 import pickle
 import socket
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-try:  # pragma: no cover - import guard exercised only off-POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: advisory locking disabled
-    fcntl = None  # type: ignore[assignment]
-
-from repro.core.atomicio import atomic_write_text
+from repro.core.durable import FlockClaim, append_record, create_log, load_log
 from repro.core.errors import CheckpointError
 
 __all__ = [
@@ -118,49 +102,43 @@ def spec_digest(name: str, spec: Any) -> str:
 
 
 class JournalLock:
-    """Advisory single-writer lock on a journal's ``.lock`` sidecar.
+    """Single-writer lock on a journal's ``.lock`` sidecar, with holder metadata.
 
-    ``flock(LOCK_EX | LOCK_NB)`` semantics: acquisition fails
-    immediately when another *live* process holds the lock, and the
-    kernel releases it automatically when the holder exits — so a
-    crashed run can never wedge future resumes. The sidecar records the
-    holder's host, pid and start time; on contention that metadata is
-    quoted in the :class:`CheckpointError`, and on reclaim of a stale
-    sidecar (file present, lock free — the previous holder died) the
-    stale holder's pid is remembered on :attr:`reclaimed_from`.
-
-    Reclaim is refused when the sidecar was written by a *different
-    host*: ``flock`` state lives in one kernel, so on shared storage a
-    foreign holder can look free locally while being very much alive —
-    and pids collide across machines, making "that pid is gone here"
-    meaningless. A cross-host sidecar therefore always raises
-    :class:`CheckpointError` and must be removed by hand once the
-    owning host is confirmed dead. Sidecars without a recorded host
-    (written before the field existed) reclaim as before.
+    A :class:`~repro.core.durable.FlockClaim` does the locking; this class
+    adds the policy. The sidecar records the holder's host, pid and start
+    time, quoted in the :class:`CheckpointError` on contention; reclaiming
+    a stale sidecar (lock free, previous holder dead) remembers its pid on
+    :attr:`reclaimed_from`. A sidecar written by a *different host* is
+    never reclaimed: ``flock`` state lives in one kernel and pids collide
+    across machines, so it must be removed by hand once that host's run is
+    confirmed gone. Sidecars without a recorded host reclaim as before.
     """
 
     def __init__(self, journal_path: "str | os.PathLike"):
         self.path = Path(str(journal_path) + ".lock")
-        self._handle: Any = None
+        self._claim = FlockClaim(self.path)
         #: pid recorded in a stale sidecar this acquisition reclaimed.
         self.reclaimed_from: "int | None" = None
 
     @property
     def held(self) -> bool:
         """True while this process holds the lock."""
-        return self._handle is not None
+        return self._claim.held
 
     def acquire(self) -> "JournalLock":
         """Take the lock or raise :class:`CheckpointError` naming the holder."""
-        if fcntl is None:  # pragma: no cover - Windows: locking unavailable
-            return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
         stale = self._read_holder()
-        handle = open(self.path, "a+", encoding="utf-8")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
+        owner_host = stale.get("host") if stale else None
+        if owner_host is not None and owner_host != socket.gethostname():
+            raise CheckpointError(
+                f"checkpoint journal {self.path.stem!r} is locked by "
+                f"{self._describe_holder(stale)} on a different host; "
+                f"flock state does not span hosts, so this run cannot "
+                f"tell a dead owner from a live one — remove {self.path} "
+                f"only after confirming that host's run is gone"
+            )
+        if not self._claim.acquire():
             holder = self._read_holder()
             detail = (
                 f" (held by {self._describe_holder(holder)} since {holder['started']})"
@@ -171,23 +149,10 @@ class JournalLock:
                 f"checkpoint journal {self.path.stem!r} is locked by another "
                 f"--resume run{detail}; wait for it to finish or remove "
                 f"{self.path} if that process is truly gone"
-            ) from None
+            )
         if stale:
-            owner_host = stale.get("host")
-            if owner_host is not None and owner_host != socket.gethostname():
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-                handle.close()
-                raise CheckpointError(
-                    f"checkpoint journal {self.path.stem!r} is locked by "
-                    f"{self._describe_holder(stale)} on a different host; "
-                    f"flock state does not span hosts, so this run cannot "
-                    f"tell a dead owner from a live one — remove {self.path} "
-                    f"only after confirming that host's run is gone"
-                )
             self.reclaimed_from = stale.get("pid")
-        handle.seek(0)
-        handle.truncate()
-        handle.write(
+        self._claim.write(
             json.dumps(
                 {
                     "host": socket.gethostname(),
@@ -198,8 +163,6 @@ class JournalLock:
             )
             + "\n"
         )
-        handle.flush()
-        self._handle = handle
         return self
 
     @staticmethod
@@ -220,22 +183,8 @@ class JournalLock:
         return record if isinstance(record, dict) else None
 
     def release(self) -> None:
-        """Drop the lock, leaving an empty sidecar (safe to call twice).
-
-        The sidecar is truncated rather than unlinked: removing the
-        path while others may be opening it would let two new runs lock
-        *different* inodes under the same name. An empty sidecar with a
-        free lock is simply a journal nobody is writing.
-        """
-        if self._handle is None:
-            return
-        self._handle.seek(0)
-        self._handle.truncate()
-        self._handle.flush()
-        if fcntl is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-        self._handle.close()
-        self._handle = None
+        """Drop the lock, leaving an empty sidecar (safe to call twice)."""
+        self._claim.release()
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +204,7 @@ class SweepCheckpoint:
 
     Use :meth:`open` (or the context-manager form) rather than the
     constructor; it derives the path from the spec digest, validates any
-    existing file's header and leaves an append handle ready.
+    existing file's header and holds the journal's lock until :meth:`close`.
     """
 
     def __init__(self, path: "str | os.PathLike", name: str, spec: Any):
@@ -263,7 +212,6 @@ class SweepCheckpoint:
         self.name = name
         self.digest = spec_digest(name, spec)
         self._entries: dict[int, JournalEntry] = {}
-        self._handle: Any = None
         self._lock: "JournalLock | None" = None
 
     @classmethod
@@ -282,52 +230,26 @@ class SweepCheckpoint:
         checkpoint = cls(base / f"{name}-{digest[:16]}.jsonl", name, spec)
         lock = JournalLock(checkpoint.path).acquire()
         try:
-            checkpoint._ensure_file()
-            checkpoint._handle = open(checkpoint.path, "a", encoding="utf-8")
+            checkpoint._load_or_start()
         except BaseException:
             lock.release()
             raise
         checkpoint._lock = lock
         return checkpoint
 
-    def _ensure_file(self) -> None:
-        """Validate an existing journal or atomically start a fresh one."""
-        if self.path.exists():
-            entries = self._read_entries()
-            if entries is not None:
-                self._entries = entries
-                return
-        header = json.dumps(
-            {"format": JOURNAL_FORMAT, "name": self.name, "spec_sha256": self.digest},
-            sort_keys=True,
-        )
-        atomic_write_text(self.path, header + "\n")
+    def _load_or_start(self) -> None:
+        """Restore the journal's points, or atomically start a fresh journal."""
+        records = load_log(self.path, format=JOURNAL_FORMAT, spec_sha256=self.digest)
+        if records is None:
+            create_log(
+                self.path,
+                {"format": JOURNAL_FORMAT, "name": self.name, "spec_sha256": self.digest},
+            )
+            records = []
         self._entries = {}
-
-    def _read_entries(self) -> "dict[int, JournalEntry] | None":
-        """Parse the journal; ``None`` means the header is unusable."""
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(header, dict):
-            return None
-        if header.get("format") != JOURNAL_FORMAT or header.get("spec_sha256") != self.digest:
-            return None
-        entries: dict[int, JournalEntry] = {}
-        for line in lines[1:]:
-            entry = _decode_record(line)
-            if entry is None:
-                # A truncated tail (crash mid-append) or a corrupt
-                # middle record (bit rot, caught by the per-record
-                # CRC): drop just that record — its point re-runs —
-                # and keep restoring everything after it.
-                continue
-            entries[entry.index] = entry
-        return entries
+        for entry in map(_entry_from_record, records):
+            if entry is not None:
+                self._entries[entry.index] = entry
 
     def load(self) -> dict[int, JournalEntry]:
         """Completed (``status == "ok"``) entries, keyed by point index."""
@@ -343,30 +265,30 @@ class SweepCheckpoint:
         return len(self.load())
 
     def record(self, outcome: Any) -> None:
-        """Append one freshly computed outcome, flushed and fsync'd.
+        """Append one freshly computed outcome, fsync'd, or raise :class:`OSError`.
 
-        Restored (``"skipped"``) outcomes are not re-journalled — they
-        are already on disk from the run that computed them.
+        A failed append leaves the in-memory progress untouched. Restored
+        (``"skipped"``) outcomes are not re-journalled — they are already
+        on disk from the run that computed them.
         """
-        if self._handle is None:
+        if self._lock is None:
             raise ValueError(f"checkpoint {self.path} is not open")
         if outcome.status == "skipped":
             return
         payload = None
         if outcome.status == "ok":
             payload = base64.b64encode(pickle.dumps(outcome.value)).decode("ascii")
-        record = {
-            "index": outcome.index,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "elapsed_s": outcome.elapsed_s,
-            "error": outcome.error,
-            "value": payload,
-        }
-        record["crc"] = _record_crc(record)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_record(
+            self.path,
+            {
+                "index": outcome.index,
+                "status": outcome.status,
+                "attempts": outcome.attempts,
+                "elapsed_s": outcome.elapsed_s,
+                "error": outcome.error,
+                "value": payload,
+            },
+        )
         self._entries[outcome.index] = JournalEntry(
             index=outcome.index,
             status=outcome.status,
@@ -377,10 +299,7 @@ class SweepCheckpoint:
         )
 
     def close(self) -> None:
-        """Release the append handle and the advisory lock (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Release the advisory lock (idempotent)."""
         if self._lock is not None:
             self._lock.release()
             self._lock = None
@@ -505,31 +424,11 @@ class ShardedCheckpoint:
         self.close()
 
 
-def _record_crc(body: "dict[str, Any]") -> int:
-    """CRC32 of a record body's canonical JSON (sans the ``crc`` key)."""
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def _decode_record(line: str) -> "JournalEntry | None":
-    """One JSONL record back into a :class:`JournalEntry`; None if bad.
-
-    Records written by this build carry a ``crc`` of their canonical
-    body: a record that parses as JSON but fails its checksum (a
-    flipped bit mid-file, not just a truncated tail) is rejected the
-    same way, so the caller re-runs that point instead of trusting a
-    silently corrupted value. Legacy records without a ``crc`` are
-    accepted as before.
-    """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or not isinstance(record.get("index"), int):
-        return None
-    crc = record.pop("crc", None)
-    if crc is not None and crc != _record_crc(record):
-        return None
+def _entry_from_record(record: "dict[str, Any]") -> "JournalEntry | None":
+    """One verified journal record as a :class:`JournalEntry`; None if unusable."""
     status = record.get("status")
+    if not isinstance(record.get("index"), int):
+        return None
     if status not in ("ok", "failed", "timed_out", "crashed"):
         return None
     value = None

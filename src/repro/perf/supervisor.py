@@ -34,10 +34,10 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any
 
+from repro.core.durable import RestartBudget
 from repro.core.errors import FabricError
 from repro.obs import metrics as _metrics
 
@@ -58,14 +58,14 @@ _GIVEUPS = _metrics.REGISTRY.counter(
 
 
 class _Slot:
-    """One supervised worker position: a port, a process, a restart log."""
+    """One supervised worker position: a port, a process, a restart budget."""
 
-    def __init__(self, ordinal: int):
+    def __init__(self, ordinal: int, max_restarts: int, window_s: float):
         self.ordinal = ordinal
         self.host = ""
         self.port = 0
         self.process: "subprocess.Popen[str] | None" = None
-        self.restarts: "deque[float]" = deque()
+        self.budget = RestartBudget(max_restarts, window_s)
         self.given_up = False
 
 
@@ -95,21 +95,13 @@ class WorkerSupervisor:
             raise ValueError(f"count must be >= 1, got {count}")
         if throttle_s < 0.0:
             raise ValueError(f"throttle_s must be >= 0, got {throttle_s}")
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-        if restart_window_s <= 0.0:
-            raise ValueError(
-                f"restart_window_s must be positive, got {restart_window_s}"
-            )
         if poll_s <= 0.0:
             raise ValueError(f"poll_s must be positive, got {poll_s}")
         self._host = host
         self._throttle_s = throttle_s
-        self._max_restarts = max_restarts
-        self._restart_window_s = restart_window_s
         self._poll_s = poll_s
         self._python = python or sys.executable
-        self._slots = [_Slot(ordinal) for ordinal in range(count)]
+        self._slots = [_Slot(ordinal, max_restarts, restart_window_s) for ordinal in range(count)]
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._monitor: "threading.Thread | None" = None
@@ -268,11 +260,7 @@ class WorkerSupervisor:
 
     def _respawn(self, slot: _Slot) -> None:
         """One worker died: relaunch it on its port, within the rate budget."""
-        now = time.monotonic()
-        slot.restarts.append(now)
-        while slot.restarts and now - slot.restarts[0] > self._restart_window_s:
-            slot.restarts.popleft()
-        if len(slot.restarts) > self._max_restarts:
+        if not slot.budget.spend():
             slot.given_up = True
             _GIVEUPS.inc()
             return

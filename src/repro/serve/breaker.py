@@ -31,12 +31,12 @@ State is exported through the ``serve.breaker_state`` gauge
 from __future__ import annotations
 
 import enum
-import random
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.durable import check_backoff, seeded_backoff
 from repro.obs import metrics as _metrics
 from repro.serve.errors import BreakerOpenError
 
@@ -90,14 +90,7 @@ class BreakerPolicy:
             raise ValueError(f"failure_threshold must be >= 1, got {self.failure_threshold}")
         if self.recovery_s <= 0:
             raise ValueError(f"recovery_s must be > 0, got {self.recovery_s}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must lie in [0, 1], got {self.jitter}")
-        if self.max_recovery_s < self.recovery_s:
-            raise ValueError(
-                f"max_recovery_s must be >= recovery_s, got {self.max_recovery_s}"
-            )
+        check_backoff(self, "recovery_s", "factor", "jitter", "max_recovery_s")
         if self.probe_limit < 1:
             raise ValueError(f"probe_limit must be >= 1, got {self.probe_limit}")
         if self.success_threshold < 1:
@@ -105,12 +98,15 @@ class BreakerPolicy:
 
     def recovery_delay_s(self, open_count: int) -> float:
         """The deterministic recovery interval for consecutive open ``open_count``."""
-        if open_count < 1:
-            raise ValueError(f"open_count is 1-based, got {open_count}")
-        mixed = (self.seed & 0xFFFFFFFF) * 0x9E3779B1 + open_count
-        noise = random.Random((mixed ^ (mixed >> 16)) * 0x85EBCA6B).random()
-        raw = self.recovery_s * self.factor ** (open_count - 1) * (1.0 + self.jitter * noise)
-        return min(raw, self.max_recovery_s)
+        return seeded_backoff(
+            self.recovery_s,
+            self.factor,
+            open_count,
+            jitter=self.jitter,
+            seed=self.seed,
+            salts=(open_count, 0),
+            cap=self.max_recovery_s,
+        )
 
     def recovery_schedule(self, count: int) -> tuple[float, ...]:
         """The first ``count`` recovery intervals."""

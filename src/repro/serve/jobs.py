@@ -19,24 +19,17 @@ Lifecycle (journalled, monotone — a terminal state is final)::
         retrying /
         interrupted (drain)
 
-Durability contract — the same idioms :mod:`repro.perf.journal` pins:
-
-* each job owns an append-only ``events.jsonl``: header + one CRC'd
-  JSON record per transition, each appended with a single ``write(2)``
-  and fsync'd before the transition is acted on; a torn tail or a
-  flipped bit drops that record only (self-healing load);
-* the result artifact is written with
-  :func:`repro.core.atomicio.atomic_write_bytes` *before* the
-  ``succeeded`` record, so a crash between the two re-runs the job and
-  rewrites identical bytes — never serves a half-written result;
-* execution ownership is an advisory ``flock`` on the job's
-  ``claim.lock``: the kernel frees it when the holder dies, which is
-  both the multi-worker claim protocol (pre-fork workers share one
-  store) and the crash-recovery signal (a ``running`` job whose claim
-  is free has a dead owner — any scanner may resume it);
-* idempotency keys live in an ``O_CREAT|O_EXCL``-claimed index file per
-  key, so a retried submission returns the original job id without
-  re-running anything.
+Durability rests on :mod:`repro.core.durable`, whose contract the
+"Durability core" section of ``docs/robustness.md`` states once. Each
+job owns an append-only ``events.jsonl`` (header + one record per
+transition, appended before the transition is acted on). The result
+artifact is written atomically *before* the ``succeeded`` record, so a
+crash between the two re-runs the job and rewrites identical bytes.
+Execution ownership is a :class:`~repro.core.durable.FlockClaim` on the
+job's ``claim.lock``, shared by every pre-fork worker: a ``running`` job
+whose claim is free has a dead owner, and any scanner may resume it.
+Idempotency keys live in an ``O_CREAT|O_EXCL``-claimed index file per
+key, so a retried submission returns the original job id untouched.
 
 Job *kinds* are registered in a process-wide table
 (:func:`register_job_kind`); each kind validates its parameters with
@@ -64,12 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-try:  # pragma: no cover - import guard exercised only off-POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: advisory locking disabled
-    fcntl = None  # type: ignore[assignment]
-
 from repro.core.atomicio import atomic_write_bytes, atomic_write_text
+from repro.core.durable import FlockClaim, append_record, create_log, load_log
 from repro.core.errors import FaultError, ReproError
 from repro.obs import metrics as _metrics
 from repro.perf.engine import RetryPolicy, sweep
@@ -279,25 +268,6 @@ def fold_events(events: "list[dict[str, Any]]") -> "JobRecord | None":
     return record
 
 
-def _record_crc(body: "dict[str, Any]") -> int:
-    """CRC32 of a record body's canonical JSON (sans the ``crc`` key)."""
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def _decode_event(line: str) -> "dict[str, Any] | None":
-    """One JSONL event back into a dict; ``None`` drops a bad record."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or not isinstance(record.get("event"), str):
-        return None
-    crc = record.pop("crc", None)
-    if crc is not None and crc != _record_crc(record):
-        return None
-    return record
-
-
 def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = None) -> float:
     """The seeded backoff before retry ``attempt`` (1-based) of a job.
 
@@ -317,46 +287,6 @@ def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = N
 # -- the durable store -----------------------------------------------------
 
 
-class _JobClaim:
-    """Advisory execution ownership of one job (``flock`` on claim.lock).
-
-    The lock follows the open file description, so two runner threads in
-    one process conflict exactly like two pre-fork workers do — and the
-    kernel frees it when the holder dies, which is what lets a sibling
-    (or a restarted server) adopt a SIGKILLed owner's running job.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._handle: Any = None
-
-    def acquire(self) -> bool:
-        """Take the claim; ``False`` means a live owner already holds it."""
-        handle = open(self.path, "a+", encoding="utf-8")
-        if fcntl is None:  # pragma: no cover - Windows: single-process only
-            self._handle = handle
-            return True
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
-            return False
-        self._handle = handle
-        return True
-
-    def release(self) -> None:
-        """Drop the claim (idempotent)."""
-        if self._handle is None:
-            return
-        if fcntl is not None:
-            try:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            except OSError:  # pragma: no cover - claim file GC'd underneath us
-                pass
-        self._handle.close()
-        self._handle = None
-
-
 class JobStore:
     """The shared on-disk job table: journals, claims, artifacts, index.
 
@@ -370,7 +300,7 @@ class JobStore:
         idempotency/<sha256>.json  idempotency key -> job id
 
     Every pre-fork worker opens the same store: reads fold the journal
-    on demand, writes are single-``write(2)`` fsync'd appends, and the
+    on demand, writes are whole-record fsync'd appends, and the
     claim protocol serialises execution — no in-memory state needs to
     survive or be shared.
     """
@@ -442,9 +372,6 @@ class JobStore:
         job_dir = self.job_dir(job_id)
         self.checkpoint_dir(job_id).mkdir(parents=True, exist_ok=True)
         now = self._clock()
-        header = json.dumps(
-            {"format": JOB_JOURNAL_FORMAT, "job_id": job_id}, sort_keys=True
-        )
         submitted = {
             "event": "submitted",
             "ts": now,
@@ -456,11 +383,9 @@ class JobStore:
             "ttl_s": ttl_s,
             "max_attempts": max_attempts,
         }
-        submitted["crc"] = _record_crc({k: v for k, v in submitted.items()})
         # The journal appears whole (header + submission) or not at all.
-        atomic_write_text(
-            self.events_path(job_id),
-            header + "\n" + json.dumps(submitted, sort_keys=True) + "\n",
+        create_log(
+            self.events_path(job_id), {"format": JOB_JOURNAL_FORMAT, "job_id": job_id}, submitted
         )
         if index_path is not None:
             atomic_write_text(
@@ -484,37 +409,27 @@ class JobStore:
         return True
 
     @staticmethod
-    def _read_index(path: Path) -> "str | None":
+    def _read_index(path: Path, *, attempts: int = 100) -> "str | None":
         """Read the key's job id, briefly waiting out a winner mid-write."""
-        for _ in range(100):
+        for attempt in range(attempts):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
                 payload = None
             if isinstance(payload, dict) and isinstance(payload.get("job_id"), str):
                 return payload["job_id"]
-            time.sleep(0.01)
+            if attempt + 1 < attempts:
+                time.sleep(0.01)
         return None
 
     # -- journal reads and appends ---------------------------------------
 
     def get(self, job_id: str) -> "JobRecord | None":
         """Fold one job's journal into its current record; None if gone."""
-        path = self.events_path(job_id)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return None
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(header, dict) or header.get("format") != JOB_JOURNAL_FORMAT:
-            return None
-        events = [event for event in map(_decode_event, lines[1:]) if event is not None]
-        record = fold_events(events)
+        records = load_log(self.events_path(job_id), format=JOB_JOURNAL_FORMAT)
+        if records is None:
+            return None  # no journal, or an unusable header: the job is invisible
+        record = fold_events([r for r in records if isinstance(r.get("event"), str)])
         if record is not None and self.cancel_flag(job_id).exists():
             record.cancel_requested = True
         return record
@@ -541,28 +456,18 @@ class JobStore:
         return records
 
     def append_event(self, job_id: str, event: str, **fields: Any) -> None:
-        """Append one CRC'd lifecycle record, fsync'd before returning.
+        """Append one CRC'd lifecycle record, fsync'd, or raise :class:`OSError`.
 
-        The whole line goes down in a single ``write(2)`` on an
-        ``O_APPEND`` descriptor, so concurrent appenders (a canceller in
-        one worker, the runner in another) interleave whole records,
-        never bytes.
+        Concurrent appenders (a canceller in one worker, the runner in
+        another) interleave whole records, never bytes.
         """
-        record: dict[str, Any] = {"event": event, "ts": self._clock(), **fields}
-        record["crc"] = _record_crc(record)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        fd = os.open(self.events_path(job_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_record(self.events_path(job_id), {"event": event, "ts": self._clock(), **fields})
 
     # -- execution ownership ---------------------------------------------
 
-    def claim(self, job_id: str) -> "_JobClaim | None":
+    def claim(self, job_id: str) -> "FlockClaim | None":
         """Try to own the job's execution; ``None`` when already owned."""
-        claim = _JobClaim(self.job_dir(job_id) / "claim.lock")
+        claim = FlockClaim(self.job_dir(job_id) / "claim.lock")
         try:
             acquired = claim.acquire()
         except OSError:
@@ -635,20 +540,10 @@ class JobStore:
                 claim.release()
         if removed:
             for index in self.index_root.glob("*.json"):
-                job_id = self._read_index_fast(index)
+                job_id = self._read_index(index, attempts=1)
                 if job_id is not None and not self.events_path(job_id).exists():
                     index.unlink(missing_ok=True)
         return removed
-
-    @staticmethod
-    def _read_index_fast(path: Path) -> "str | None":
-        """One-shot index read for GC (no winner-wait spin)."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        job_id = payload.get("job_id") if isinstance(payload, dict) else None
-        return job_id if isinstance(job_id, str) else None
 
     # -- observability ---------------------------------------------------
 
@@ -1064,7 +959,7 @@ class JobManager:
             finally:
                 claim.release()
 
-    def _claim_next(self) -> "tuple[JobRecord, _JobClaim] | None":
+    def _claim_next(self) -> "tuple[JobRecord, FlockClaim] | None":
         """The oldest eligible job we can own, re-validated under its claim."""
         if self._drain_event.is_set():
             return None

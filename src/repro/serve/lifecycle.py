@@ -6,8 +6,8 @@ The drain contract the tests and the CI smoke step assert:
    from that instant every newly arriving request is rejected with a
    structured 503 (``code: "draining"``), never silently dropped;
 2. requests already admitted keep running; the controller counts them
-   and :meth:`wait_drained` blocks until the count reaches zero or the
-   drain deadline lapses;
+   and :meth:`wait_drained` blocks until the count reaches zero and
+   every owed response is written, or the drain deadline lapses;
 3. a drain that completes inside the deadline exits 0 with zero
    dropped accepted requests; a forced exit after the deadline reports
    the stragglers and exits non-zero.
@@ -20,9 +20,10 @@ what the handler does.
 
 from __future__ import annotations
 
+import contextlib
 import signal
 import threading
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.obs import metrics as _metrics
 from repro.serve.errors import DrainingError
@@ -42,6 +43,7 @@ class DrainController:
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._inflight = 0
+        self._responding = 0
         self._draining = threading.Event()
         #: Called once when the drain begins (the server hooks its
         #: listener shutdown here).
@@ -70,6 +72,18 @@ class DrainController:
             self._inflight += 1
         return _InflightToken(self)
 
+    @contextlib.contextmanager
+    def responding(self) -> "Iterator[None]":
+        """Hold the drain open until one HTTP response is written (never refused)."""
+        with self._lock:
+            self._responding += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._responding -= 1
+                self._idle.notify_all()
+
     def _release(self) -> None:
         with self._lock:
             self._inflight -= 1
@@ -89,9 +103,9 @@ class DrainController:
         return True
 
     def wait_drained(self, timeout_s: "float | None") -> bool:
-        """Block until no requests are in flight; False on timeout."""
+        """Block until no request is in flight or owed a response; False on timeout."""
         with self._lock:
-            return self._idle.wait_for(lambda: self._inflight == 0, timeout_s)
+            return self._idle.wait_for(lambda: not (self._inflight or self._responding), timeout_s)
 
     def wait_for_drain_signal(self, timeout_s: "float | None" = None) -> bool:
         """Block until a drain begins (used by the serve main loop)."""

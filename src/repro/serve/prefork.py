@@ -45,12 +45,11 @@ import signal
 import socket
 import sys
 import tempfile
-import time
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 from repro.core.atomicio import atomic_write_text
+from repro.core.durable import RestartBudget
 from repro.serve.server import ServerConfig, TaxonomyHTTPServer, run_server
 
 __all__ = ["run_prefork", "supports_prefork"]
@@ -140,7 +139,10 @@ def run_prefork(config: ServerConfig) -> int:
         fleet_dir=fleet_dir,
     )
     live: dict[int, int] = {}  # pid -> worker slot
-    restarts: "list[deque[float]]" = [deque() for _ in range(config.processes)]
+    budgets = [
+        RestartBudget(config.respawn_max, config.respawn_window_s)
+        for _ in range(config.processes)
+    ]
     ledger = {"respawns": 0, "given_up": 0}
     draining = False
     drain_signum = signal.SIGTERM
@@ -198,11 +200,7 @@ def run_prefork(config: ServerConfig) -> int:
                 continue
             # Unexpected death (crash, OOM, SIGKILL chaos): respawn the
             # slot under its restart-rate limit.
-            window = restarts[slot]
-            now = time.monotonic()
-            while window and now - window[0] > config.respawn_window_s:
-                window.popleft()
-            if len(window) >= config.respawn_max:
+            if not budgets[slot].spend():
                 print(
                     f"worker slot {slot} exceeded {config.respawn_max} respawns "
                     f"in {config.respawn_window_s:g}s; giving up on it",
@@ -212,7 +210,6 @@ def run_prefork(config: ServerConfig) -> int:
                 _write_respawn_ledger(fleet_dir, ledger)
                 failures += 1
                 continue
-            window.append(now)
             new_pid, read_fd = _spawn_worker(worker_config, probe)
             os.read(read_fd, 1)
             os.close(read_fd)

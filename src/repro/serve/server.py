@@ -691,8 +691,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._respond(self.rfile.read(length) if length else b"")
 
     def _respond(self, body: bytes) -> None:
-        response = self.server.app.dispatch(self.command, self.path, body)
-        self._write(response)
+        # The drain must outlast the write, not just the dispatch.
+        with self.server.app.drain.responding():
+            self._write(self.server.app.dispatch(self.command, self.path, body))
 
     def _write(self, response: Response) -> None:
         encoded = (

@@ -508,9 +508,11 @@ class TestMembershipPolicy:
                 policy.max_rejoin_backoff_s,
             )
             assert base <= delay <= base * (1.0 + policy.rejoin_jitter)
+            assert delay <= policy.max_rejoin_backoff_s
         probation = policy.probation_delay_s(1, 1)
         assert probation == again.probation_delay_s(1, 1)
         assert probation >= policy.probation_s
+        assert policy.probation_delay_s(1, 9) <= policy.max_probation_s
 
     def test_different_seeds_jitter_differently(self):
         schedules = {

@@ -145,12 +145,20 @@ class TestSweepCheckpoint:
         assert set(done) == {0}
 
     def test_unknown_status_is_rejected(self, tmp_path):
-        from repro.perf.journal import _decode_record
+        from repro.core.durable import encode_record
 
-        assert _decode_record(json.dumps({"index": 0, "status": "maybe"})) is None
-        assert _decode_record(json.dumps({"index": "zero", "status": "ok"})) is None
-        assert _decode_record(json.dumps([1, 2, 3])) is None
-        assert _decode_record("not json") is None
+        spec = {"n": 1}
+        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
+            checkpoint.record(_ok(0, 1))
+            path = checkpoint.path
+        # Checksummed and well-formed JSON, but not a sweep outcome.
+        with open(path, "ab") as handle:
+            handle.write(encode_record({"index": 1, "status": "maybe"}))
+            handle.write(encode_record({"index": "zero", "status": "ok"}))
+        reopened = SweepCheckpoint.open("unit", spec, directory=tmp_path)
+        done = reopened.load()
+        reopened.close()
+        assert set(done) == {0}
 
 
 def _corrupt_record(path, index, mutate):
@@ -173,64 +181,11 @@ def _corrupt_record(path, index, mutate):
 
 
 class TestRecordChecksums:
-    """Per-record CRCs turn silent bit rot into a drop-and-rerun."""
+    """Per-record CRCs turn silent bit rot into a drop-and-rerun.
 
-    def test_bit_rotted_record_is_dropped_but_neighbours_survive(self, tmp_path):
-        spec = {"n": 3}
-        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-            for index in range(3):
-                checkpoint.record(_ok(index, f"value-{index}"))
-            path = checkpoint.path
-
-        def flip_a_value_byte(record):
-            # A *valid* base64 pickle of a different value: every layer
-            # except the CRC would happily accept it.
-            import base64
-
-            record["value"] = base64.b64encode(pickle.dumps("tampered")).decode()
-
-        _corrupt_record(path, 1, flip_a_value_byte)
-        reopened = SweepCheckpoint.open("unit", spec, directory=tmp_path)
-        done = reopened.load()
-        reopened.close()
-        assert set(done) == {0, 2}
-        assert done[0].value == "value-0"
-        assert done[2].value == "value-2"
-
-    def test_tampered_metadata_fails_the_crc_too(self, tmp_path):
-        spec = {"n": 2}
-        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-            checkpoint.record(_ok(0, "zero"))
-            checkpoint.record(_ok(1, "one"))
-            path = checkpoint.path
-        _corrupt_record(path, 0, lambda record: record.update(attempts=99))
-        reopened = SweepCheckpoint.open("unit", spec, directory=tmp_path)
-        done = reopened.load()
-        reopened.close()
-        assert set(done) == {1}
-
-    def test_legacy_record_without_crc_still_loads(self, tmp_path):
-        import base64
-
-        spec = {"n": 2}
-        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-            checkpoint.record(_ok(0, "zero"))
-            path = checkpoint.path
-        legacy = {
-            "index": 1,
-            "status": "ok",
-            "attempts": 1,
-            "elapsed_s": 0.1,
-            "error": None,
-            "value": base64.b64encode(pickle.dumps("one")).decode("ascii"),
-        }
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(legacy) + "\n")
-        reopened = SweepCheckpoint.open("unit", spec, directory=tmp_path)
-        done = reopened.load()
-        reopened.close()
-        assert set(done) == {0, 1}
-        assert done[1].value == "one"
+    The log format itself (CRC, legacy records, torn tails) is pinned once
+    in ``tests/core/test_durable.py``; this is the sweep-level consequence.
+    """
 
     def test_resume_recomputes_only_the_corrupted_point(self, tmp_path):
         from repro.perf import sweep

@@ -54,6 +54,15 @@ class TestDrainController:
             pass
         assert controller.wait_drained(0.05)
 
+    def test_wait_drained_waits_for_the_response_write(self):
+        controller = DrainController()
+        with controller.responding():
+            with controller.admit():
+                pass
+            assert controller.inflight == 0
+            assert not controller.wait_drained(0.05)  # response not yet written
+        assert controller.wait_drained(0.05)
+
     def test_wait_for_drain_signal(self):
         controller = DrainController()
         assert not controller.wait_for_drain_signal(0.01)
