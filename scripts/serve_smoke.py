@@ -9,9 +9,10 @@ This is the CI serve-smoke step. It:
 2. drives ``scripts/loadgen.py`` against it with keep-alive connection
    reuse (default 200 requests) and writes the latency summary artifact;
 3. exercises the full data plane: asserts connections were actually
-   reused, posts one batch request, checks ``/v1/readyz`` reports every
-   pre-forked worker, and checks ``/v1/metrics`` shows a nonzero
-   response-cache hit count;
+   reused, posts a costs batch and a 47-class classify batch (each
+   classify result byte-identical to a single GET), checks
+   ``/v1/readyz`` reports every pre-forked worker, and checks
+   ``/v1/metrics`` shows a nonzero response-cache hit count;
 4. exercises the async job plane (the server boots with ``--jobs-dir``):
    a few submit/poll/result round-trips with idempotent-retry dedupe,
    and — when pre-forked — a SIGKILL of one worker mid-job, asserting
@@ -38,11 +39,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from loadgen import (  # noqa: E402
     TERMINAL_JOB_STATES,
@@ -76,18 +79,64 @@ def boot_server(extra_args: "list[str]", timeout_s: float) -> "tuple[subprocess.
     return proc, line.removeprefix("listening on ")
 
 
-def check_batch(url: str, failures: "list[str]") -> None:
-    """One batch POST must answer every item successfully."""
+def _post_batch(url: str, path: str, body: bytes) -> dict:
     request = urllib.request.Request(
-        url + "/v1/costs", data=BATCH_BODY, method="POST",
+        url + path, data=body, method="POST",
         headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(request, timeout=30.0) as response:
-        payload = json.loads(response.read())
+        return json.loads(response.read())
+
+
+def table1_items() -> "list[dict[str, str]]":
+    """The 47 Table-I classes' signatures as classify request fields."""
+    from repro.core.connectivity import LINK_SITES
+    from repro.core.taxonomy import all_classes
+
+    items = []
+    for taxonomy_class in all_classes():
+        signature = taxonomy_class.signature
+        item = {"ips": str(signature.ips), "dps": str(signature.dps)}
+        for site in LINK_SITES:
+            if signature.link(site).exists:
+                item[site.label.lower()] = signature.link(site).render()
+        items.append(item)
+    return items
+
+
+def check_batch(url: str, failures: "list[str]") -> None:
+    """Batch POSTs must answer every item, each exactly as a single GET would.
+
+    A costs batch, then the 47 Table-I signatures as one classify batch:
+    each classify result must encode to the very bytes a single
+    ``GET /v1/classify`` of the same item answers with, on whichever
+    worker of the fleet takes that GET.
+    """
+    from repro.serve.validation import stable_json
+
+    payload = _post_batch(url, "/v1/costs", BATCH_BODY)
     if payload.get("count") != 3 or payload.get("errors") != 0:
         failures.append(f"batch request misbehaved: {payload}")
     else:
         print(f"batch POST ok ({payload['count']} items, 0 errors)")
+    items = table1_items()
+    payload = _post_batch(url, "/v1/classify", json.dumps({"items": items}).encode())
+    if payload.get("count") != len(items) or payload.get("errors") != 0:
+        failures.append(f"classify batch misbehaved: {payload}")
+        return
+    mismatched = []
+    for item, result in zip(items, payload["results"]):
+        query = urllib.parse.urlencode(item)
+        with urllib.request.urlopen(f"{url}/v1/classify?{query}", timeout=30.0) as response:
+            if response.read() != stable_json(result):
+                mismatched.append(item)
+    if mismatched:
+        failures.append(
+            f"{len(mismatched)} classify batch result(s) differ from single GETs, "
+            f"first: {mismatched[0]}"
+        )
+    else:
+        print(f"classify batch ok ({len(items)} Table-I classes, byte-identical to GETs)")
 
 
 def check_fleet(url: str, processes: int, failures: "list[str]") -> None:

@@ -172,8 +172,8 @@ def explore(
     ``fabric_options`` carries extra :func:`~repro.perf.fabric_sweep`
     scheduling knobs along with it. ``batch_kernel``
     forwards too: single-job runs price all classes through the
-    vectorized :mod:`repro.core.batch` kernel when NumPy is available,
-    again with a byte-identical recommendation.
+    vectorized :mod:`repro.core.batch` kernel, again with a
+    byte-identical recommendation.
     """
     with _trace.span(
         "analysis.dse", objective=objective.name, n=requirements.n, jobs=jobs

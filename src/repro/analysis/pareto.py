@@ -98,8 +98,8 @@ def _evaluate_classes_kernel(
 ) -> "list[DesignPoint] | None":
     """Vectorized fast path through :mod:`repro.core.batch`.
 
-    Returns ``None`` when the kernel cannot run (no NumPy, or model
-    configurations it cannot reproduce bit-exactly) so the caller falls
+    Returns ``None`` for model configurations the kernel cannot
+    reproduce bit-exactly, so the caller falls
     back to the scalar sweep. When it does run, every field of every
     :class:`DesignPoint` is bit-identical to the scalar path's.
     """
@@ -169,8 +169,8 @@ def evaluate_classes(
     artifact-affecting.
 
     ``batch_kernel=True`` (the default) routes plain single-job
-    evaluations through the vectorized :mod:`repro.core.batch` kernel
-    when NumPy is available — results are bit-identical either way, and
+    evaluations through the vectorized :mod:`repro.core.batch` kernel —
+    results are bit-identical either way, and
     anything the kernel cannot serve exactly (custom per-site switch
     models, resumable/parallel/fault-tolerant sweeps) silently uses the
     scalar path.

@@ -94,19 +94,17 @@ def cost_point(
 
 def _evaluate_survey_kernel(
     records: "tuple[ArchitectureRecord, ...]", default_n: int
-) -> "list[SurveyCostPoint] | None":
+) -> "list[SurveyCostPoint]":
     """Vectorized fast path pricing the whole survey in one batch.
 
     Area and configuration bits come from :mod:`repro.core.batch`
     (grouped, bit-exact, priced at each record's own size); the energy
     estimate and the bits-to-cycles conversion reuse the scalar default
     models so every :class:`SurveyCostPoint` field is bit-identical to
-    the scalar sweep's. Returns ``None`` when NumPy is missing.
+    the scalar sweep's.
     """
     from repro.core import batch as _batch
 
-    if not _batch.kernel_supports(None, None):
-        return None
     with _trace.span(
         "analysis.survey_costs",
         architectures=len(records),
@@ -177,8 +175,8 @@ def evaluate_survey(
 
     ``batch_kernel=True`` (the default) prices plain single-job,
     default-model runs through the vectorized :mod:`repro.core.batch`
-    kernel when NumPy is available; results — and therefore the
-    rendered cost table — are bit-identical either way.
+    kernel; results — and therefore the rendered cost table — are
+    bit-identical either way.
     """
     custom = (area_model, config_model, energy_model, reconfig_model)
     records = all_architectures()
@@ -191,9 +189,7 @@ def evaluate_survey(
         and on_error == "raise"
         and timeout_s is None
     ):
-        points = _evaluate_survey_kernel(records, default_n)
-        if points is not None:
-            return points
+        return _evaluate_survey_kernel(records, default_n)
     cache = (
         None
         if all(model is None for model in custom)

@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="job-runner scan interval: queue polls, orphan adoption and "
         "GC all run on this cadence (default 0.25)",
     )
-    _add_batch_kernel_argument(serve_parser)
 
     jobs_parser = sub.add_parser(
         "jobs",
@@ -567,8 +566,8 @@ def _add_batch_kernel_argument(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="route single-job default-model evaluations through the "
-        "vectorized batch kernel when NumPy is available "
-        "(default on; output is byte-identical either way)",
+        "vectorized batch kernel (default on; output is byte-identical "
+        "either way)",
     )
 
 
@@ -680,7 +679,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         keepalive_requests=args.keepalive_requests,
         keepalive_idle_s=args.keepalive_idle,
         cache_size=args.cache_size,
-        batch_kernel=args.batch_kernel,
         jobs_dir=args.jobs_dir,
         job_runners=args.job_runners,
         job_ttl_s=args.job_ttl,

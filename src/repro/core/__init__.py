@@ -16,7 +16,6 @@ from repro.core.baselines import (
     skillicorn_verdict,
 )
 from repro.core.batch import (
-    HAVE_NUMPY,
     BatchClassification,
     BatchEstimates,
     CompiledTaxonomy,
@@ -84,7 +83,6 @@ __all__ = [
     "flynn_class",
     "skillicorn_verdict",
     # batch kernel
-    "HAVE_NUMPY",
     "BatchClassification",
     "BatchEstimates",
     "CompiledTaxonomy",

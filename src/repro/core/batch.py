@@ -15,8 +15,8 @@ Populations travel as :class:`SignatureBatch` — structure-of-arrays
 columns (multiplicity ranks, link kinds, optional concrete counts) —
 and two vectorized passes cover the paper's pipeline:
 
-* :func:`classify_batch` — Table-I serial, implementability and the
-  full Table-II flexibility breakdown for every row;
+* :func:`classify_batch` — Table-I serial, implementability and
+  Table-II flexibility for every row;
 * :func:`price_batch` — Eq.-1 area (gate equivalents) and Eq.-2
   configuration bits for every row at a per-row design size.
 
@@ -28,11 +28,15 @@ association order per group (integer Eq.-2 terms are exact anyway).
 ``tests/core/test_batch.py`` enforces ``==`` — including float
 equality — over the full survey and hypothesis-random signatures.
 
-The kernel degrades loudly, not wrongly: without NumPy every entry
-point raises :class:`KernelUnavailableError` (callers fall back to the
-scalar path), and model configurations the kernel cannot reproduce
-bit-exactly (per-site ``switch_models`` overrides) are refused via
-:func:`kernel_supports` rather than approximated.
+The kernel degrades loudly, not wrongly: model configurations it
+cannot reproduce bit-exactly (per-site ``switch_models`` overrides) are
+refused via :func:`kernel_supports` and :class:`KernelUnavailableError`
+rather than approximated.
+
+**Render rows.** A ``/v1/classify`` answer, bar its echoed cells, is a
+function of the structure too: :func:`render_row` renders it once per
+structure, lazily on first use, from the scalar classifier's own
+objects and ``explain()`` text.
 """
 
 from __future__ import annotations
@@ -40,23 +44,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as _np
+
+from repro.core.classify import Classification, canonical_class, classify
 from repro.core.components import ComponentCount, Granularity, Multiplicity
 from repro.core.connectivity import LINK_SITES, Link, LinkKind, LinkSite
 from repro.core.errors import ClassificationError, ReproError, SignatureError
-from repro.core.flexibility import FlexibilityScore
-from repro.core.naming import MachineType
+from repro.core.flexibility import FlexibilityScore, score_signature
 from repro.core.signature import Signature
 from repro.core.taxonomy import TaxonomyClass, class_by_serial
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover - the base image bundles numpy
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "STRUCT_SPACE",
     "KernelUnavailableError",
     "CompiledTaxonomy",
@@ -67,12 +67,13 @@ __all__ = [
     "classify_batch",
     "price_batch",
     "kernel_supports",
+    "RenderRow",
+    "render_row",
+    "signature_index",
+    "struct_ranks",
     "structural_signature",
     "valid_structures",
 ]
-
-#: Whether the NumPy kernel is importable in this process.
-HAVE_NUMPY: bool = _np is not None
 
 #: Size of the structural space: 4 IP ranks x 4 DP ranks x 3^5 link kinds.
 STRUCT_SPACE: int = 4 * 4 * 3**5
@@ -85,14 +86,6 @@ _MULTIPLICITIES: tuple[Multiplicity, ...] = (
 )
 _KINDS: tuple[LinkKind, ...] = (LinkKind.NONE, LinkKind.DIRECT, LinkKind.SWITCHED)
 
-#: Machine-type codes used in the compiled tables (index = code).
-_MACHINE_TYPES: tuple[MachineType, ...] = (
-    MachineType.DATA_FLOW,
-    MachineType.INSTRUCTION_FLOW,
-    MachineType.UNIVERSAL_FLOW,
-)
-_MACHINE_CODE = {machine: code for code, machine in enumerate(_MACHINE_TYPES)}
-
 #: Which population each link-site endpoint renders from (True = IPs).
 _SITE_ENDPOINTS: dict[LinkSite, tuple[bool, bool]] = {
     LinkSite.IP_IP: (True, True),
@@ -104,15 +97,7 @@ _SITE_ENDPOINTS: dict[LinkSite, tuple[bool, bool]] = {
 
 
 class KernelUnavailableError(ReproError):
-    """Raised when a batch entry point runs without NumPy present."""
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - the base image bundles numpy
-        raise KernelUnavailableError(
-            "the batch-classification kernel requires numpy; "
-            "use the scalar repro.core.classify path instead"
-        )
+    """Raised for model configurations the kernel cannot price bit-exactly."""
 
 
 def struct_index(ips_rank: int, dps_rank: int, kinds: Sequence[int]) -> int:
@@ -121,6 +106,29 @@ def struct_index(ips_rank: int, dps_rank: int, kinds: Sequence[int]) -> int:
     for kind in kinds:
         index = index * 3 + kind
     return index
+
+
+def signature_index(signature: Signature) -> int:
+    """The :func:`struct_index` of one scalar :class:`Signature`."""
+    index = signature.ips.multiplicity.rank * 4 + signature.dps.multiplicity.rank
+    for link in (
+        signature.ip_ip, signature.ip_dp, signature.ip_im, signature.dp_dm, signature.dp_dp
+    ):
+        index = index * 3 + link.kind.rank
+    return index
+
+
+def struct_ranks(index: Any) -> "tuple[Any, Any, list[Any]]":
+    """Invert :func:`struct_index`: ``(ips_rank, dps_rank, kinds)``.
+
+    Works element-wise on integer arrays as well as on plain ints.
+    """
+    kinds = []
+    for _ in range(5):
+        kinds.append(index % 3)
+        index = index // 3
+    kinds.reverse()
+    return index // 4, index % 4, kinds
 
 
 def structural_signature(
@@ -201,20 +209,7 @@ class CompiledTaxonomy:
     valid: "object"
     serial: "object"
     implementable: "object"
-    multiplicity_points: "object"
-    switch_points: "object"
-    universal_bonus: "object"
-    machine_code: "object"
-    switched_mask: "object"
-
-    @property
-    def flexibility(self) -> "object":
-        """Total Table-II flexibility per structure (sum of the three terms)."""
-        return (
-            self.multiplicity_points.astype(_np.int16)
-            + self.switch_points
-            + self.universal_bonus
-        )
+    flexibility: "object"
 
 
 @lru_cache(maxsize=1)
@@ -226,49 +221,72 @@ def compile_taxonomy() -> CompiledTaxonomy:
     and :func:`~repro.core.flexibility.score_signature` fill the row.
     The result is cached for the process lifetime.
     """
-    _require_numpy()
-    from repro.core.classify import canonical_class
-    from repro.core.flexibility import score_signature
-
     valid = _np.zeros(STRUCT_SPACE, dtype=bool)
     serial = _np.zeros(STRUCT_SPACE, dtype=_np.int16)
     implementable = _np.zeros(STRUCT_SPACE, dtype=bool)
-    mult_points = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    switch_points = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    universal = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    machine = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    switched_mask = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-
+    flexibility = _np.zeros(STRUCT_SPACE, dtype=_np.int16)
     for index, ips_rank, dps_rank, kinds in _iter_structures():
         try:
             signature = structural_signature(ips_rank, dps_rank, kinds)
             taxonomy_class = canonical_class(signature)
         except (SignatureError, ClassificationError):
             continue
-        score = score_signature(signature)
         valid[index] = True
         serial[index] = taxonomy_class.serial
         implementable[index] = taxonomy_class.implementable
-        mult_points[index] = score.multiplicity_points
-        switch_points[index] = score.switch_points
-        universal[index] = score.universal_bonus
-        machine[index] = _MACHINE_CODE[score.machine_type]
-        mask = 0
-        for bit, site in enumerate(LINK_SITES):
-            if site in score.switched_sites:
-                mask |= 1 << bit
-        switched_mask[index] = mask
-
+        flexibility[index] = score_signature(signature).total
     return CompiledTaxonomy(
-        valid=valid,
-        serial=serial,
-        implementable=implementable,
-        multiplicity_points=mult_points,
-        switch_points=switch_points,
-        universal_bonus=universal,
-        machine_code=machine,
-        switched_mask=switched_mask,
+        valid=valid, serial=serial, implementable=implementable, flexibility=flexibility
     )
+
+
+@dataclass(frozen=True, slots=True)
+class RenderRow:
+    """One structure's scalar class and score, and its classify answer bar the cells.
+
+    ``explain_tail`` is ``Classification.explain()`` minus its leading
+    ``structure: ...`` line, the only line that echoes the cells.
+    """
+
+    taxonomy_class: TaxonomyClass
+    score: FlexibilityScore
+    class_block: "dict[str, Any]"
+    flexibility: int
+    switched_sites: tuple[str, ...]
+    explain_tail: str
+
+
+#: Render rows by structure index, filled on first use. Two threads
+#: racing on one structure both render it; the rows are equal.
+_RENDER_ROWS: dict[int, RenderRow] = {}
+
+
+def render_row(index: int) -> RenderRow:
+    """The :class:`RenderRow` of structure ``index`` (see :func:`struct_index`).
+
+    Built by the scalar classifier from the structure's canonical
+    signature, so a gathered payload equals the scalar one by
+    construction. Raises :class:`SignatureError` for an invalid structure.
+    """
+    row = _RENDER_ROWS.get(index)
+    if row is None:
+        result = classify(structural_signature(*struct_ranks(index)))
+        _, _, tail = result.explain().partition("\n")
+        name = result.name
+        row = _RENDER_ROWS[index] = RenderRow(
+            taxonomy_class=result.taxonomy_class,
+            score=result.score,
+            class_block={
+                "serial": result.taxonomy_class.serial,
+                "short_name": result.short_name,
+                "name": None if name is None else name.long,
+                "implementable": result.implementable,
+            },
+            flexibility=result.flexibility,
+            switched_sites=tuple(site.label for site in result.score.switched_sites),
+            explain_tail=tail,
+        )
+    return row
 
 
 @dataclass(frozen=True)
@@ -296,25 +314,24 @@ class SignatureBatch:
     @classmethod
     def from_signatures(cls, signatures: Iterable[Signature]) -> "SignatureBatch":
         """Columnize scalar :class:`Signature` objects (always valid rows)."""
-        _require_numpy()
         rows = list(signatures)
         count = len(rows)
-        ips_rank = _np.empty(count, dtype=_np.uint8)
-        dps_rank = _np.empty(count, dtype=_np.uint8)
-        kinds = _np.empty((count, 5), dtype=_np.uint8)
-        ips_value = _np.empty(count, dtype=_np.int64)
-        dps_value = _np.empty(count, dtype=_np.int64)
-        for row, signature in enumerate(rows):
-            ips_rank[row] = signature.ips.multiplicity.rank
-            dps_rank[row] = signature.dps.multiplicity.rank
-            for column, site in enumerate(LINK_SITES):
-                kinds[row, column] = signature.link(site).kind.rank
-            ips_value[row] = -1 if signature.ips.value is None else signature.ips.value
-            dps_value[row] = -1 if signature.dps.value is None else signature.dps.value
+        index = _np.fromiter(map(signature_index, rows), dtype=_np.int64, count=count)
+        ips_rank, dps_rank, kinds = struct_ranks(index)
+        ips_value = _np.fromiter(
+            (-1 if sig.ips.value is None else sig.ips.value for sig in rows),
+            dtype=_np.int64,
+            count=count,
+        )
+        dps_value = _np.fromiter(
+            (-1 if sig.dps.value is None else sig.dps.value for sig in rows),
+            dtype=_np.int64,
+            count=count,
+        )
         return cls(
-            ips_rank=ips_rank,
-            dps_rank=dps_rank,
-            kinds=kinds,
+            ips_rank=ips_rank.astype(_np.uint8),
+            dps_rank=dps_rank.astype(_np.uint8),
+            kinds=_np.stack(kinds, axis=1).astype(_np.uint8),
             ips_value=ips_value,
             dps_value=dps_value,
         )
@@ -335,7 +352,6 @@ class SignatureBatch:
         checked; a bad row raises :class:`SignatureError` naming its
         index, mirroring what the scalar constructor would have raised.
         """
-        _require_numpy()
         ips = _np.ascontiguousarray(ips_rank, dtype=_np.int64)
         dps = _np.ascontiguousarray(dps_rank, dtype=_np.int64)
         kind_matrix = _np.ascontiguousarray(kinds, dtype=_np.int64)
@@ -446,70 +462,46 @@ class SignatureBatch:
 class BatchClassification:
     """Vectorized classification results for one :class:`SignatureBatch`.
 
-    Arrays are row-aligned with the batch. The scalar accessors
-    (:meth:`score`, :meth:`taxonomy_class`, :meth:`classification`)
-    rebuild the exact objects the scalar path would have produced —
-    same cached :class:`~repro.core.taxonomy.TaxonomyClass` instances,
+    Arrays are row-aligned with the batch; ``structure`` holds each
+    row's :func:`struct_index`. The scalar accessors (:meth:`score`,
+    :meth:`taxonomy_class`, :meth:`classification`) return the exact
+    objects the scalar path would have produced — same cached
+    :class:`~repro.core.taxonomy.TaxonomyClass` instances,
     field-identical :class:`~repro.core.flexibility.FlexibilityScore`.
     """
 
     serial: "object"
     implementable: "object"
-    multiplicity_points: "object"
-    switch_points: "object"
-    universal_bonus: "object"
-    machine_code: "object"
-    switched_mask: "object"
+    flexibility: "object"
+    structure: "object"
 
     def __len__(self) -> int:
         return int(self.serial.shape[0])
-
-    @property
-    def flexibility(self) -> "object":
-        """Total Table-II flexibility per row (int16)."""
-        return (
-            self.multiplicity_points.astype(_np.int16)
-            + self.switch_points
-            + self.universal_bonus
-        )
-
-    def machine_type(self, row: int) -> MachineType:
-        """The row's machine type as the enum the scalar path uses."""
-        return _MACHINE_TYPES[int(self.machine_code[row])]
-
-    def switched_sites(self, row: int) -> tuple[LinkSite, ...]:
-        """The row's switched sites in Table-I column order."""
-        mask = int(self.switched_mask[row])
-        return tuple(site for bit, site in enumerate(LINK_SITES) if mask & (1 << bit))
-
-    def score(self, row: int) -> FlexibilityScore:
-        """The row's :class:`FlexibilityScore`, field-identical to scalar."""
-        return FlexibilityScore(
-            multiplicity_points=int(self.multiplicity_points[row]),
-            switch_points=int(self.switch_points[row]),
-            universal_bonus=int(self.universal_bonus[row]),
-            switched_sites=self.switched_sites(row),
-            machine_type=self.machine_type(row),
-        )
 
     def taxonomy_class(self, row: int) -> TaxonomyClass:
         """The row's Table-I class (the shared cached instance)."""
         return class_by_serial(int(self.serial[row]))
 
-    def classification(self, row: int, signature: Signature) -> "object":
-        """A scalar :class:`~repro.core.classify.Classification` for one row."""
-        from repro.core.classify import Classification
+    def score(self, row: int) -> FlexibilityScore:
+        """The row's itemised :class:`FlexibilityScore` (its :func:`render_row`'s)."""
+        return render_row(int(self.structure[row])).score
 
+    def classification(self, row: int, signature: Signature) -> Classification:
+        """A scalar :class:`~repro.core.classify.Classification` for one row.
+
+        Its class and score are the row's structure's
+        :func:`render_row` objects, shared by every row of that structure.
+        """
+        rendered = render_row(int(self.structure[row]))
         return Classification(
             signature=signature,
-            taxonomy_class=self.taxonomy_class(row),
-            score=self.score(row),
+            taxonomy_class=rendered.taxonomy_class,
+            score=rendered.score,
         )
 
 
 def classify_batch(batch: SignatureBatch) -> BatchClassification:
     """Classify and flexibility-score a whole batch via table gathers."""
-    _require_numpy()
     tables = compile_taxonomy()
     index = batch.struct_index()
     invalid = _np.nonzero(~tables.valid[index])[0]
@@ -520,11 +512,8 @@ def classify_batch(batch: SignatureBatch) -> BatchClassification:
     return BatchClassification(
         serial=tables.serial[index],
         implementable=tables.implementable[index],
-        multiplicity_points=tables.multiplicity_points[index],
-        switch_points=tables.switch_points[index],
-        universal_bonus=tables.universal_bonus[index],
-        machine_code=tables.machine_code[index],
-        switched_mask=tables.switched_mask[index],
+        flexibility=tables.flexibility[index],
+        structure=index,
     )
 
 
@@ -548,8 +537,6 @@ def kernel_supports(area_model=None, config_model=None) -> bool:
     :class:`~repro.models.configbits.ComponentConfigWords`, datapath
     widths and the ``reconfigurable_components`` flag are all supported.
     """
-    if not HAVE_NUMPY:
-        return False
     for model in (area_model, config_model):
         if model is not None and getattr(model, "switch_models", None):
             return False
@@ -681,7 +668,6 @@ def price_batch(
     Raises :class:`KernelUnavailableError` for unsupported model
     configurations (see :func:`kernel_supports`).
     """
-    _require_numpy()
     from repro.models.area import AreaModel
     from repro.models.configbits import ConfigBitsModel
 
@@ -703,15 +689,7 @@ def price_batch(
     unique, inverse = _np.unique(index, return_inverse=True)
     for group, structure in enumerate(unique):
         rows = _np.nonzero(inverse == group)[0]
-        structure = int(structure)
-        kinds = []
-        remaining = structure
-        for _ in range(5):
-            kinds.append(remaining % 3)
-            remaining //= 3
-        kinds.reverse()
-        dps_rank = remaining % 4
-        ips_rank = remaining // 4
+        ips_rank, dps_rank, kinds = struct_ranks(int(structure))
         is_universal = 3 in (ips_rank, dps_rank)
         g_ip = n_ip[rows]
         g_dp = n_dp[rows]

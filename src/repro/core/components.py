@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.errors import SignatureError
 
@@ -25,7 +26,11 @@ __all__ = [
     "Granularity",
     "ComponentCount",
     "multiplicity_of_count",
+    "COUNT_MEMO_SIZE",
 ]
+
+#: Bound on the memo behind :meth:`ComponentCount.of` for string tokens.
+COUNT_MEMO_SIZE = 8192
 
 
 class ComponentKind(enum.Enum):
@@ -70,7 +75,7 @@ class Multiplicity(enum.Enum):
     @property
     def rank(self) -> int:
         """Total order used for comparisons (0 for ZERO .. 3 for VARIABLE)."""
-        return _MULTIPLICITY_RANK[self]
+        return _MULTIPLICITY_RANK[self._value_]
 
     def __lt__(self, other: "Multiplicity") -> bool:
         if not isinstance(other, Multiplicity):
@@ -95,7 +100,7 @@ class Multiplicity(enum.Enum):
     @property
     def is_plural(self) -> bool:
         """True when the multiplicity earns a flexibility point (n or v)."""
-        return self in (Multiplicity.MANY, Multiplicity.VARIABLE)
+        return self._value_ in ("n", "v")
 
     @classmethod
     def parse(cls, text: str) -> "Multiplicity":
@@ -125,12 +130,8 @@ class Multiplicity(enum.Enum):
         return multiplicity_of_count(value)
 
 
-_MULTIPLICITY_RANK = {
-    Multiplicity.ZERO: 0,
-    Multiplicity.ONE: 1,
-    Multiplicity.MANY: 2,
-    Multiplicity.VARIABLE: 3,
-}
+#: Rank by symbol (a str key hashes faster than ``Enum.__hash__``).
+_MULTIPLICITY_RANK = {"0": 0, "1": 1, "n": 2, "v": 3}
 
 
 def multiplicity_of_count(count: int) -> Multiplicity:
@@ -192,19 +193,14 @@ class ComponentCount:
     @classmethod
     def of(cls, raw: "int | str | Multiplicity | ComponentCount") -> "ComponentCount":
         """Coerce ints, paper symbols or multiplicities into a count."""
+        if isinstance(raw, str):
+            return _parse_count(raw)
         if isinstance(raw, ComponentCount):
             return raw
         if isinstance(raw, Multiplicity):
             return cls(raw)
         if isinstance(raw, int):
             return cls(multiplicity_of_count(raw), raw)
-        if isinstance(raw, str):
-            token = raw.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                return cls(Multiplicity.parse(token))
-            return cls(multiplicity_of_count(value), value)
         raise SignatureError(f"cannot interpret component count: {raw!r}")
 
     def resolve(self, default_n: int) -> int:
@@ -220,4 +216,15 @@ class ComponentCount:
     def __str__(self) -> str:
         if self.value is not None and self.multiplicity.is_plural:
             return str(self.value)
-        return self.multiplicity.value
+        return self.multiplicity._value_
+
+
+@lru_cache(maxsize=COUNT_MEMO_SIZE)
+def _parse_count(raw: str) -> ComponentCount:
+    """:meth:`ComponentCount.of` for a string (frozen result; errors are not cached)."""
+    token = raw.strip()
+    try:
+        value = int(token)
+    except ValueError:
+        return ComponentCount(Multiplicity.parse(token))
+    return ComponentCount(multiplicity_of_count(value), value)

@@ -20,11 +20,15 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.components import ComponentKind, Multiplicity
 from repro.core.errors import SignatureError
 
-__all__ = ["LinkKind", "LinkSite", "Link", "LINK_SITES"]
+__all__ = ["LinkKind", "LinkSite", "Link", "LINK_SITES", "LINK_MEMO_SIZE"]
+
+#: Bound on the memo behind :meth:`Link.parse` for string cells.
+LINK_MEMO_SIZE = 4096
 
 
 class LinkKind(enum.Enum):
@@ -45,7 +49,7 @@ class LinkKind(enum.Enum):
     @property
     def rank(self) -> int:
         """Ordering key: absent < direct < switched."""
-        return _LINK_RANK[self]
+        return _LINK_RANK[self._value_]
 
     def __lt__(self, other: "LinkKind") -> bool:
         if not isinstance(other, LinkKind):
@@ -78,7 +82,8 @@ class LinkKind(enum.Enum):
         return self is not LinkKind.NONE
 
 
-_LINK_RANK = {LinkKind.NONE: 0, LinkKind.DIRECT: 1, LinkKind.SWITCHED: 2}
+#: Rank by symbol (a str key hashes faster than ``Enum.__hash__``).
+_LINK_RANK = {"none": 0, "-": 1, "x": 2}
 
 
 class LinkSite(enum.Enum):
@@ -169,6 +174,8 @@ class Link:
         The separator decides the kind: ``-`` is direct, ``x`` is
         switched. Endpoint tokens are preserved verbatim for re-rendering.
         """
+        if isinstance(cell, str):
+            return _parse_cell(cell)
         if cell is None:
             return cls.none()
         if isinstance(cell, Link):
@@ -177,22 +184,12 @@ class Link:
             if cell is LinkKind.NONE:
                 return cls.none()
             return cls(cell, "n", "n")
-        token = cell.strip()
-        if not token or token.lower() in ("none", "no", "-", "--"):
-            return cls.none()
-        match = _CELL_RE.match(token)
-        if match is None:
-            raise SignatureError(f"unparseable connectivity cell: {cell!r}")
-        sep = match.group("sep").lower()
-        kind = LinkKind.SWITCHED if sep == "x" else LinkKind.DIRECT
-        return cls(kind, match.group("left"), match.group("right"))
+        raise SignatureError(f"cannot interpret connectivity cell: {cell!r}")
 
     def render(self) -> str:
-        """Format as a Table-I cell string."""
-        if self.kind is LinkKind.NONE:
-            return "none"
-        sep = "x" if self.kind is LinkKind.SWITCHED else "-"
-        return f"{self.left}{sep}{self.right}"
+        """Format as a Table-I cell string (a present kind's value is its separator)."""
+        symbol = self.kind._value_
+        return symbol if symbol == "none" else f"{self.left}{symbol}{self.right}"
 
     def __str__(self) -> str:
         return self.render()
@@ -212,3 +209,16 @@ class Link:
     def exists(self) -> bool:
         """True when this link is present."""
         return self.kind.exists
+
+
+@lru_cache(maxsize=LINK_MEMO_SIZE)
+def _parse_cell(cell: str) -> Link:
+    """:meth:`Link.parse` for a string (frozen result; errors are not cached)."""
+    token = cell.strip()
+    if not token or token.lower() in ("none", "no", "-", "--"):
+        return Link.none()
+    match = _CELL_RE.match(token)
+    if match is None:
+        raise SignatureError(f"unparseable connectivity cell: {cell!r}")
+    kind = LinkKind.SWITCHED if match.group("sep").lower() == "x" else LinkKind.DIRECT
+    return Link(kind, match.group("left"), match.group("right"))

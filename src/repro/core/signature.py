@@ -50,25 +50,29 @@ class Signature:
             raise SignatureError("a machine must contain at least one data processor")
         if ips is Multiplicity.ZERO:
             # Data-flow machine: no instruction processor, hence no IP-side links.
-            for site in (LinkSite.IP_IP, LinkSite.IP_DP, LinkSite.IP_IM):
-                if self.link(site).exists:
+            for site, link in (
+                (LinkSite.IP_IP, self.ip_ip),
+                (LinkSite.IP_DP, self.ip_dp),
+                (LinkSite.IP_IM, self.ip_im),
+            ):
+                if link.exists:
                     raise SignatureError(
                         f"data-flow machine (0 IPs) cannot have a {site.label} connection"
                     )
         else:
-            if not self.link(LinkSite.IP_DP).exists:
+            if not self.ip_dp.exists:
                 raise SignatureError(
                     "an instruction-flow machine requires an IP-DP connection"
                 )
-            if not self.link(LinkSite.IP_IM).exists:
+            if not self.ip_im.exists:
                 raise SignatureError(
                     "an instruction-flow machine requires an IP-IM connection"
                 )
-        if not self.link(LinkSite.DP_DM).exists:
+        if not self.dp_dm.exists:
             raise SignatureError("every machine requires a DP-DM connection")
-        if ips is Multiplicity.ONE and self.link(LinkSite.IP_IP).exists:
+        if ips is Multiplicity.ONE and self.ip_ip.exists:
             raise SignatureError("a single IP cannot have an IP-IP connection")
-        if dps is Multiplicity.ONE and self.link(LinkSite.DP_DP).exists:
+        if dps is Multiplicity.ONE and self.dp_dp.exists:
             raise SignatureError("a single DP cannot have a DP-DP connection")
         variable = Multiplicity.VARIABLE in (ips, dps)
         if self.granularity is Granularity.FINE and not variable:
@@ -160,14 +164,16 @@ class Signature:
     # -- presentation ----------------------------------------------------
 
     def describe(self) -> str:
-        """One-line human-readable structure description."""
-        cells = list(self.iter_cells())
-        sites = ", ".join(
-            f"{site.label}={cell}" for site, cell in zip(LINK_SITES, cells[2:])
-        )
+        """One-line human-readable structure description.
+
+        The :meth:`iter_cells` cells labelled in Table-I column order,
+        spelled out field by field (every classify response prints it).
+        """
         return (
-            f"granularity={self.granularity.value}, IPs={cells[0]}, "
-            f"DPs={cells[1]}, {sites}"
+            f"granularity={self.granularity.value}, IPs={self.ips}, DPs={self.dps}, "
+            f"IP-IP={self.ip_ip.render()}, IP-DP={self.ip_dp.render()}, "
+            f"IP-IM={self.ip_im.render()}, DP-DM={self.dp_dm.render()}, "
+            f"DP-DP={self.dp_dp.render()}"
         )
 
 

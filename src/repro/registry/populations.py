@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.core.batch import (
-    HAVE_NUMPY,
     SignatureBatch,
+    signature_index,
+    struct_ranks,
     structural_signature,
     valid_structures,
 )
@@ -92,15 +93,6 @@ class PopulationSpec:
             raise ReproError("value_probability must lie in 0..1")
 
 
-def _structure_of(signature: Signature) -> tuple[int, int, tuple[int, ...]]:
-    """Project a signature onto its structural-space coordinates."""
-    return (
-        signature.ips.multiplicity.rank,
-        signature.dps.multiplicity.rank,
-        tuple(kind.rank for kind in signature.link_kinds()),
-    )
-
-
 def _decorated_count(
     count: ComponentCount, rng: random.Random, spec: PopulationSpec
 ) -> ComponentCount:
@@ -127,8 +119,8 @@ def generate_signatures(spec: PopulationSpec) -> tuple[Signature, ...]:
     """Generate the population as scalar :class:`Signature` objects."""
     rng = random.Random(spec.seed)
     if spec.mode == "stratified":
-        structures: Sequence[tuple[int, int, tuple[int, ...]]] = [
-            _structure_of(cls.signature) for cls in all_classes()
+        structures: Sequence[tuple[int, int, Sequence[int]]] = [
+            struct_ranks(signature_index(cls.signature)) for cls in all_classes()
         ]
     else:
         structures = valid_structures()
@@ -152,9 +144,7 @@ def generate_signatures(spec: PopulationSpec) -> tuple[Signature, ...]:
 def generate_batch(spec: PopulationSpec) -> SignatureBatch:
     """Generate the population directly as kernel-ready SoA columns.
 
-    Requires NumPy (raises
-    :class:`~repro.core.batch.KernelUnavailableError` otherwise); the
-    rows are exactly ``generate_signatures(spec)`` in order.
+    The rows are exactly ``generate_signatures(spec)`` in order.
     """
     return SignatureBatch.from_signatures(generate_signatures(spec))
 
@@ -178,8 +168,4 @@ def describe_population(signatures: Sequence[Signature]) -> str:
         share = f"{count / total:.1%}" if total else "-"
         rows.append((str(serial), cls.comment, str(count), share))
     table = format_table(("Serial", "Class", "Count", "Share"), rows)
-    summary = (
-        f"{total} signatures across {len(counts)} of 47 classes "
-        f"(numpy kernel {'available' if HAVE_NUMPY else 'unavailable'})"
-    )
-    return f"{table}\n{summary}"
+    return f"{table}\n{total} signatures across {len(counts)} of 47 classes"

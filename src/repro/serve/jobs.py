@@ -131,6 +131,13 @@ _GC_REMOVED = _metrics.REGISTRY.counter(
 )
 _QUEUED_G = _metrics.REGISTRY.gauge("jobs.queued", help="jobs currently waiting for a runner")
 _RUNNING_G = _metrics.REGISTRY.gauge("jobs.running", help="jobs currently executing")
+#: A runner's OSError backoff follows the retry policy's seeded schedule
+#: for at most this many steps, then holds until an iteration succeeds.
+_RUNNER_BACKOFF_STEPS = 5
+_RUNNER_ERRORS = _metrics.REGISTRY.counter(
+    "serve.jobs.runner_errors",
+    help="runner iterations that hit an OSError (journal append or store read)",
+)
 _LATENCY = _metrics.REGISTRY.histogram(
     "jobs.latency_s",
     boundaries=(0.01, 0.1, 1.0, 10.0, 60.0, 600.0),
@@ -875,7 +882,9 @@ class JobManager:
         self._stop = threading.Event()
         self._drain_event = threading.Event()
         self._threads = [
-            threading.Thread(target=self._run_loop, name=f"job-runner-{i}", daemon=True)
+            threading.Thread(
+                target=self._run_loop, args=(i,), name=f"job-runner-{i}", daemon=True
+            )
             for i in range(runners)
         ]
         for thread in self._threads:
@@ -918,8 +927,9 @@ class JobManager:
         return self.store.request_cancel(job_id)
 
     def stats(self) -> dict[str, Any]:
-        """Store-wide backlog stats plus this process's runner bound."""
-        return {**self.store.stats(), "runners": self.runners}
+        """Store-wide backlog stats plus this process's runner bound and live runners."""
+        alive = sum(thread.is_alive() for thread in self._threads)
+        return {**self.store.stats(), "runners": self.runners, "runners_alive": alive}
 
     def drain(self, timeout_s: float = 5.0) -> bool:
         """Stop claiming, interrupt running jobs, join the runner threads.
@@ -939,25 +949,32 @@ class JobManager:
 
     # -- the runner loop -------------------------------------------------
 
-    def _run_loop(self) -> None:
+    def _run_loop(self, runner: int) -> None:
+        errors = 0
         while not self._stop.is_set():
-            claimed = self._claim_next()
-            if claimed is None:
-                try:
-                    removed = self.store.gc()
-                except OSError:  # pragma: no cover - GC is best-effort
-                    removed = 0
-                if removed:
-                    _GC_REMOVED.inc(removed)
-                self._refresh_gauges()
-                self._wake.wait(timeout=self._poll_s)
-                self._wake.clear()
-                continue
-            record, claim = claimed
             try:
-                self._execute(record)
-            finally:
-                claim.release()
+                claimed = self._claim_next()
+                if claimed is None:
+                    removed = self.store.gc()
+                    if removed:
+                        _GC_REMOVED.inc(removed)
+                    self._refresh_gauges()
+                    self._wake.wait(timeout=self._poll_s)
+                    self._wake.clear()
+                else:
+                    record, claim = claimed
+                    try:
+                        self._execute(record)
+                    finally:
+                        claim.release()
+                errors = 0
+            except OSError:
+                # A failed journal append, store read or GC. Any claim is
+                # already released, so the job stays claimable; this
+                # runner backs off (seeded, capped) and carries on.
+                errors += 1
+                _RUNNER_ERRORS.inc()
+                self._stop.wait(self._retry.delay_s(runner, min(errors, _RUNNER_BACKOFF_STEPS)))
 
     def _claim_next(self) -> "tuple[JobRecord, FlockClaim] | None":
         """The oldest eligible job we can own, re-validated under its claim."""

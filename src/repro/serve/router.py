@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.core.batch import render_row, signature_index
 from repro.core.classify import classify
 from repro.core.errors import ClassificationError, FaultError, NamingError
 from repro.core.signature import make_signature
@@ -276,22 +277,27 @@ class TaxonomyService:
     def classify_payload(signature: Any, result: Any) -> "dict[str, Any]":
         """Render one classification as the endpoint's response body.
 
-        Both the scalar handler and the vectorized batch path go through
-        this function, which (together with ``stable_json`` encoding) is
-        what makes kernel-on and kernel-off responses byte-identical.
+        A gather from the signature's structure row
+        (:func:`repro.core.batch.render_row`) plus its one
+        :meth:`~repro.core.signature.Signature.describe` string. Both the
+        scalar handler and the batch path go through this function,
+        which (with ``stable_json`` encoding) is what makes a batch
+        result byte-identical to the single request for the same item.
         """
-        name = result.name
+        row = render_row(signature_index(signature))
+        serial = row.taxonomy_class.serial
+        if result.taxonomy_class.serial != serial:
+            raise ClassificationError(
+                f"classification names serial {result.taxonomy_class.serial} but "
+                f"the structure renders as serial {serial}"
+            )
+        structure = signature.describe()
         return {
-            "class": {
-                "serial": result.taxonomy_class.serial,
-                "short_name": result.short_name,
-                "name": None if name is None else name.long,
-                "implementable": result.implementable,
-            },
-            "flexibility": result.flexibility,
-            "signature": signature.describe(),
-            "switched_sites": [site.label for site in signature.switched_sites()],
-            "explain": result.explain(),
+            "class": dict(row.class_block),
+            "flexibility": row.flexibility,
+            "signature": structure,
+            "switched_sites": list(row.switched_sites),
+            "explain": f"structure: {structure}\n{row.explain_tail}",
         }
 
     def handle_classify(self, request: Request) -> Response:

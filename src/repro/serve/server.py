@@ -152,11 +152,6 @@ class ServerConfig:
     #: Directory holding the fleet stats-bus sockets (set by the
     #: pre-fork parent; ``None`` means single-process, no bus).
     fleet_dir: "str | None" = None
-    #: Classify ``{"items": [...]}`` batches through the vectorized
-    #: :mod:`repro.core.batch` kernel when NumPy is available. Response
-    #: bodies are byte-identical either way; False forces the scalar
-    #: per-item loop (debugging / A-B benchmarking).
-    batch_kernel: bool = True
     #: Directory backing the durable ``/v1/jobs`` subsystem
     #: (:mod:`repro.serve.jobs`); ``None`` disables it. Pre-fork workers
     #: inherit one shared directory, so any worker serves any job.
@@ -301,7 +296,12 @@ class ServiceApp:
     def _handle_readyz(self) -> Response:
         breaker = self.service.breaker.snapshot()
         draining = self.drain.draining
-        ready = not draining and breaker["state"] != "open"
+        jobs = None if self.jobs is None else self.jobs.stats()
+        ready = (
+            not draining
+            and breaker["state"] != "open"
+            and (jobs is None or jobs["runners_alive"] > 0)
+        )
         status = "ready" if ready else ("draining" if draining else "not_ready")
         members = [
             {key: value for key, value in member.items() if key != "metrics"}
@@ -323,10 +323,10 @@ class ServiceApp:
             # scaling workers on queue depth read it from here.
             "fabric": fleet_health(),
         }
-        if self.jobs is not None:
+        if jobs is not None:
             # The job store is shared by every pre-fork worker, so this
             # worker's stats are already the fleet-wide backlog view.
-            payload["jobs"] = self.jobs.stats()
+            payload["jobs"] = jobs
         return Response(status=200 if ready else 503, payload=payload)
 
     def _respawn_ledger(self) -> "dict[str, Any] | None":
@@ -474,15 +474,11 @@ class ServiceApp:
         whole batch (504) — by then every remaining item would time out
         anyway.
 
-        Classify batches take the vectorized kernel path when enabled
-        (``config.batch_kernel``) and NumPy is importable; its response
-        is byte-identical to this scalar loop's.
+        Classify batches take the vectorized kernel path; each of its
+        results is byte-identical to a single request for the same item.
         """
-        if self.config.batch_kernel and request.path == "/v1/classify":
-            from repro.core import batch as _batch
-
-            if _batch.HAVE_NUMPY:
-                return self._run_batch_kernel(request)
+        if request.path == "/v1/classify":
+            return self._run_batch_kernel(request)
         results: list[dict] = []
         errors = 0
         assert request.items is not None
@@ -503,17 +499,17 @@ class ServiceApp:
     def _run_batch_kernel(self, request: Request) -> Response:
         """Vectorized classify-batch execution via :mod:`repro.core.batch`.
 
-        Three phases, preserving every observable of the scalar loop:
-        per-item deadline checks, per-item response-cache probes and
-        per-item error isolation happen first (items are parsed by the
-        same validation code the scalar handler uses); the surviving
+        Three phases, each item observably a single request: per-item
+        deadline checks, per-item response-cache probes and per-item
+        error isolation happen first (items are parsed by the same
+        validation code the scalar handler uses); the surviving
         signatures are then classified in one table-gather; finally each
         payload is rendered by the shared
         :meth:`~repro.serve.router.TaxonomyService.classify_payload`, so
-        the response body is byte-identical to the scalar path's. A
+        each result is byte-identical to the single request's body. A
         duplicate of an item already awaiting classification defers its
-        cache probe until after that item's payload is stored, keeping
-        the cache's hit/miss accounting identical to the scalar loop's.
+        cache probe until after that item's payload is stored, so it
+        counts as a hit, as it would had the items come one by one.
         """
         from repro.core import batch as _batch
 

@@ -1,5 +1,6 @@
 """The durable job subsystem: journal, store, runner, and REST surface."""
 
+import errno
 import json
 import time
 
@@ -256,6 +257,35 @@ class TestJobManager:
         assert done.attempts == 1
         assert "inherent" in done.error
 
+    def test_runner_survives_a_failing_journal_append(self, manager, monkeypatch):
+        from repro.serve.jobs import _RUNNER_ERRORS
+
+        boss = manager()
+        original = boss.store.append_event
+        failing = [True]
+        failures = []
+
+        def append_event(job_id, event, **fields):
+            if failing[0] and event == "started":
+                failures.append(job_id)
+                raise OSError(errno.EIO, "injected journal append failure")
+            return original(job_id, event, **fields)
+
+        monkeypatch.setattr(boss.store, "append_event", append_event)
+        errors_before = _RUNNER_ERRORS.value
+        record, _ = boss.submit("population", {"size": "8"})
+        wait_for(lambda: len(failures) >= 2)
+        # The runner outlived the failed appends, and the job was never
+        # started: it is still queued, its claim free for the next try.
+        assert boss.stats()["runners_alive"] == 1
+        assert boss.store.get(record.job_id).state == "queued"
+        assert _RUNNER_ERRORS.value - errors_before >= 2
+        failing[0] = False
+        done = wait_for(lambda: boss.store.get(record.job_id).terminal
+                        and boss.store.get(record.job_id))
+        assert done.state == "succeeded"
+        assert done.attempts == 1
+
     def test_drain_interrupts_and_a_new_manager_resumes(self, manager):
         boss = manager()
         record, _ = boss.submit(
@@ -433,6 +463,14 @@ class TestJobsApi:
         assert set(payload["jobs"]["states"]) == {
             "queued", "running", "succeeded", "failed", "cancelled", "expired",
         }
+
+    def test_readyz_is_503_without_live_runners(self, app):
+        assert call(app, "GET", "/v1/readyz")[1]["jobs"]["runners_alive"] == 1
+        assert app.jobs.drain(5.0)
+        status, payload = call(app, "GET", "/v1/readyz")
+        assert status == 503
+        assert payload["status"] == "not_ready"
+        assert payload["jobs"]["runners_alive"] == 0
 
     def test_jobs_disabled_without_jobs_dir(self, tmp_path):
         plain = ServiceApp(ServerConfig(port=0))
